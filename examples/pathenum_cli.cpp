@@ -6,7 +6,7 @@
 //       --limit=N                stop after N results
 //       --time-ms=T              per-query time budget
 //       --print=N                print the first N paths (default 5)
-//       --threads=N              use the parallel enumerator with N threads
+//       --threads=N              split the query across N engine workers
 //   pathenum_cli generate <dataset> <scale> <out-file>
 //       instantiate a catalog dataset (up, db, gg, ..., tm) as an edge list
 //   pathenum_cli stats <edge-list>
@@ -15,8 +15,8 @@
 #include <iostream>
 #include <string>
 
-#include "core/parallel_dfs.h"
 #include "core/path_enum.h"
+#include "engine/query_engine.h"
 #include "graph/io.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -80,19 +80,23 @@ int RunQuery(int argc, char** argv) {
     }
   }
 
-  PathEnumerator enumerator(graph);
-  CollectingSink sink(std::max<size_t>(print_count, 1));
-
   if (threads > 0) {
-    // Parallel counting path: per-thread sinks; keep the first few paths
-    // from one shard for display.
-    IndexBuilder builder;
-    const LightweightIndex index = builder.Build(graph, query);
-    ParallelDfsEnumerator parallel(index, threads);
-    const ParallelEnumResult result = parallel.CountAll(opts);
-    std::cout << result.counters.num_results << " paths ("
-              << result.threads_used << " threads, " << result.wall_ms
-              << " ms)\n";
+    // Split counting path: the engine plans like the serial run and fans
+    // the picked method out across its workers.
+    QueryEngine engine(graph, {.num_workers = threads});
+    BatchOptions batch;
+    batch.query = opts;
+    batch.split_branches = true;
+    const BatchResult result =
+        engine.CountBatch(std::span<const Query>(&query, 1), batch);
+    if (!result.ok()) {
+      std::cerr << "query failed: " << result.errors[0] << "\n";
+      return 1;
+    }
+    const QueryStats& stats = result.stats[0];
+    std::cout << stats.counters.num_results << " paths in " << result.wall_ms
+              << " ms (" << MethodName(stats.method) << ", "
+              << result.workers << " active workers)\n";
     return 0;
   }
 
@@ -106,6 +110,7 @@ int RunQuery(int argc, char** argv) {
     }
     return true;
   });
+  PathEnumerator enumerator(graph);
   const QueryStats stats = enumerator.Run(query, counting, opts);
   std::cout << stats.counters.num_results << " paths in " << stats.total_ms
             << " ms (" << MethodName(stats.method)

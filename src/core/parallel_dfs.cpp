@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <vector>
 
 #include "core/dfs_enumerator.h"
-#include "util/timer.h"
 
 namespace pathenum {
 
@@ -67,91 +65,28 @@ EnumCounters DrainBranches(DfsEnumerator& dfs, const LightweightIndex& index,
                            std::span<const uint32_t> branches,
                            std::atomic<uint32_t>& cursor, PathSink& sink,
                            const EnumOptions& opts, const Deadline& deadline,
-                           std::atomic<bool>* stop_claims) {
-  EnumCounters total;
-  // Per-branch options: the shared gate handles the cross-thread result
-  // limit; the deadline is absolute, so re-deriving each branch's budget
-  // from its remaining wall time keeps it globally correct.
-  while (stop_claims == nullptr ||
-         !stop_claims->load(std::memory_order_relaxed)) {
-    const uint32_t b = cursor.fetch_add(1, std::memory_order_relaxed);
-    if (b >= branches.size()) break;
-    // The immediate target-arrival and the duplicate check for s are the
-    // root frame's job in the sequential code; handled by RunBranch.
-    EnumCounters c = dfs.RunBranch(index, branches[b], sink,
-                                   BranchOptions(opts, deadline));
-    // RunBranch charges both partials of its chain — (s) and (s, branch) —
-    // so a standalone call is self-consistent. Within a fan-out the root
-    // (s) is shared by every branch and charged exactly once via
-    // FinishFanout's root_partials; deduct the per-branch copy here so the
-    // merged totals equal the sequential enumeration's.
-    c.partials -= 1;
-    // Stop claiming work once the limit was reached or time ran out — and
-    // tell the other participants, whose remaining units can only discover
-    // the same.
-    if (!AccumulateBranch(total, c)) {
-      if (stop_claims != nullptr) {
-        stop_claims->store(true, std::memory_order_relaxed);
-      }
-      break;
-    }
-  }
-  return total;
+                           std::atomic<bool>& stop_claims) {
+  return DrainUnits(
+      static_cast<uint32_t>(branches.size()), cursor, stop_claims,
+      [&](uint32_t b) {
+        // The immediate target-arrival and the duplicate check for s are
+        // the root frame's job in the sequential code; handled by
+        // RunBranch. The shared gate handles the cross-thread result
+        // limit; the deadline is absolute, so re-deriving each branch's
+        // budget from its remaining wall time keeps it globally correct.
+        EnumCounters c = dfs.RunBranch(index, branches[b], sink,
+                                       BranchOptions(opts, deadline));
+        // RunBranch charges both partials of its chain — (s) and (s,
+        // branch) — so a standalone call is self-consistent. Within a
+        // fan-out the root (s) is shared by every branch and charged
+        // exactly once via FinishFanout's root_partials; deduct the
+        // per-branch copy here so the merged totals equal the sequential
+        // enumeration's.
+        c.partials -= 1;
+        return c;
+      });
 }
 
 }  // namespace internal
-
-ParallelDfsEnumerator::ParallelDfsEnumerator(const LightweightIndex& index,
-                                             uint32_t num_threads)
-    : index_(index),
-      owned_pool_(std::make_unique<ThreadPool>(num_threads)),
-      pool_(owned_pool_.get()) {}
-
-ParallelDfsEnumerator::ParallelDfsEnumerator(const LightweightIndex& index,
-                                             ThreadPool& pool)
-    : index_(index), pool_(&pool) {}
-
-ParallelEnumResult ParallelDfsEnumerator::Run(
-    const std::function<std::unique_ptr<PathSink>()>& sink_factory,
-    const EnumOptions& opts) {
-  ParallelEnumResult result;
-  Timer wall;
-  const Deadline deadline = Deadline::AfterMs(opts.time_limit_ms);
-  const uint32_t s_slot = index_.source_slot();
-  if (s_slot == kInvalidSlot) return result;
-
-  const uint32_t k = index_.hops();
-  const auto branches = index_.OutSlotsWithin(s_slot, k - 1);
-  const uint32_t workers = static_cast<uint32_t>(std::min<size_t>(
-      pool_->num_workers(), std::max<size_t>(branches.size(), 1)));
-  result.threads_used = workers;
-
-  BranchGate gate(opts.result_limit, opts.response_target, wall);
-  std::atomic<uint32_t> cursor{0};
-  std::vector<EnumCounters> worker_counters(workers);
-
-  pool_->RunOnWorkers(workers, [&](uint32_t worker) {
-    std::unique_ptr<PathSink> sink = sink_factory();
-    BranchSink limited(gate, *sink, BranchSink::Mode::kPerWorker);
-    DfsEnumerator dfs;
-    // No shared stop flag here: in per-worker mode an inner sink refusing
-    // stops only its own worker (the class contract) — the other workers
-    // must keep draining their branches.
-    worker_counters[worker] = internal::DrainBranches(
-        dfs, index_, branches, cursor, limited, opts, deadline,
-        /*stop_claims=*/nullptr);
-  });
-
-  internal::FinishFanout(result.counters, worker_counters,
-                         /*root_partials=*/1,
-                         /*root_edges=*/branches.size(), gate.delivered(),
-                         gate.response_ms(), opts);
-  result.wall_ms = wall.ElapsedMs();
-  return result;
-}
-
-ParallelEnumResult ParallelDfsEnumerator::CountAll(const EnumOptions& opts) {
-  return Run([] { return std::make_unique<CountingSink>(); }, opts);
-}
 
 }  // namespace pathenum

@@ -1,27 +1,21 @@
-// Multi-threaded IDX-DFS. The search tree under s fans out into the
-// independent subtrees rooted at each first-level extension I_t(s, k-1);
-// a worker pool claims subtrees dynamically (atomic cursor) and runs the
-// sequential enumerator inside each. An extension of the paper's system:
-// the per-query index is immutable after construction, so the enumeration
-// parallelizes without any synchronization beyond result accounting.
-//
-// Since the pool migration (DESIGN.md §8) the enumerator spawns no threads
-// of its own: branch units run on a ThreadPool — an external one shared
-// with the caller, or a private pool spawned once per enumerator and
-// reused across Run calls — and deliveries flow through the unified
-// BranchGate/BranchSink fan-out adapter of core/sink.h.
+// Branch-parallel fan-out accounting. The search tree under s fans out
+// into the independent subtrees rooted at each first-level extension
+// I_t(s, k-1), and the split IDX-JOIN into independent materialization and
+// probe units; the per-query index is immutable after construction, so
+// the units parallelize without any synchronization beyond result
+// accounting. The helpers below are that accounting, shared by the split
+// executor (engine/split_executor.h) and the shard router's stitched
+// queries; deliveries flow through the BranchGate/BranchSink adapter of
+// core/sink.h (DESIGN.md §8).
 #ifndef PATHENUM_CORE_PARALLEL_DFS_H_
 #define PATHENUM_CORE_PARALLEL_DFS_H_
 
 #include <atomic>
-#include <functional>
-#include <memory>
 #include <span>
 
 #include "core/index.h"
 #include "core/options.h"
 #include "core/sink.h"
-#include "core/thread_pool.h"
 #include "util/timer.h"
 
 namespace pathenum {
@@ -30,10 +24,9 @@ class DfsEnumerator;
 
 namespace internal {
 
-// Accounting helpers shared by every branch-parallel DFS driver (the
-// pooled ParallelDfsEnumerator below, QueryEngine::RunSplit and the
-// AsyncEngine's cooperative split tickets). Branch-level limit bookkeeping
-// is subtle enough that it must live in exactly one place.
+// Accounting helpers shared by every fan-out driver (the split executor
+// under both engines, and the shard router). Branch-level limit
+// bookkeeping is subtle enough that it must live in exactly one place.
 
 /// Options for one branch of a fanned-out enumeration: result limit and
 /// response target are delegated to the shared sink; the time budget is
@@ -60,64 +53,36 @@ void FinishFanout(EnumCounters& out, std::span<const EnumCounters> workers,
                   uint64_t delivered, double response_ms,
                   const EnumOptions& opts);
 
-/// The one branch-claiming loop every split driver runs (per participating
-/// worker): claims first-level branch units off the shared `cursor`, runs
-/// them through `dfs` into `sink` (a BranchSink, normally), and accumulates
-/// their counters until the units are drained or this participant's
-/// accumulated counters say stop. When a participant stops early it trips
-/// `stop_claims` (if given) so the other participants stop claiming new
-/// units too — the query-wide limit makes their remaining work moot.
+/// The one unit-claiming loop every split phase runs (per participating
+/// worker): claims units off the shared `cursor` and runs `run(u)` on each
+/// until all `units` are claimed or `stop_claims` trips, accumulating their
+/// counters. When this participant's counters say stop, it trips
+/// `stop_claims` so the other participants stop claiming too — the
+/// query-wide limit makes their remaining work moot.
+template <typename RunUnit>
+EnumCounters DrainUnits(uint32_t units, std::atomic<uint32_t>& cursor,
+                        std::atomic<bool>& stop_claims, RunUnit&& run) {
+  EnumCounters total;
+  while (!stop_claims.load(std::memory_order_relaxed)) {
+    const uint32_t u = cursor.fetch_add(1, std::memory_order_relaxed);
+    if (u >= units) break;
+    if (!AccumulateBranch(total, run(u))) {
+      stop_claims.store(true, std::memory_order_relaxed);
+      break;
+    }
+  }
+  return total;
+}
+
+/// DrainUnits over first-level DFS branch units: runs each claimed branch
+/// through `dfs` into `sink` (the query's BranchSink).
 EnumCounters DrainBranches(DfsEnumerator& dfs, const LightweightIndex& index,
                            std::span<const uint32_t> branches,
                            std::atomic<uint32_t>& cursor, PathSink& sink,
                            const EnumOptions& opts, const Deadline& deadline,
-                           std::atomic<bool>* stop_claims = nullptr);
+                           std::atomic<bool>& stop_claims);
 
 }  // namespace internal
-
-/// Outcome of a parallel enumeration.
-struct ParallelEnumResult {
-  /// Merged counters across all workers (times are wall-clock).
-  EnumCounters counters;
-  double wall_ms = 0.0;
-  uint32_t threads_used = 0;
-};
-
-/// Parallel index-based DFS enumerator.
-///
-/// Sinks are created per worker through `sink_factory`, so user code needs
-/// no locking: each worker owns its sink exclusively (BranchSink's
-/// kPerWorker mode), and cross-thread limits (result_limit,
-/// response_target) are enforced by the shared BranchGate. Results are
-/// exact: the union of the per-sink path sets equals the sequential result
-/// set.
-class ParallelDfsEnumerator {
- public:
-  /// Private-pool form: spawns a pool of `num_threads` workers once (0
-  /// picks std::thread::hardware_concurrency()) and reuses it across Run
-  /// calls.
-  explicit ParallelDfsEnumerator(const LightweightIndex& index,
-                                 uint32_t num_threads = 0);
-
-  /// Shared-pool form: fans out over `pool` (not owned; must outlive the
-  /// enumerator, and the caller owns its one-job-at-a-time contract).
-  ParallelDfsEnumerator(const LightweightIndex& index, ThreadPool& pool);
-
-  /// Runs the enumeration. `sink_factory` is invoked once per worker (from
-  /// that worker's thread); the returned sinks receive disjoint subsets of
-  /// the result set.
-  ParallelEnumResult Run(
-      const std::function<std::unique_ptr<PathSink>()>& sink_factory,
-      const EnumOptions& opts = {});
-
-  /// Convenience: counts all paths with per-thread counting sinks.
-  ParallelEnumResult CountAll(const EnumOptions& opts = {});
-
- private:
-  const LightweightIndex& index_;
-  std::unique_ptr<ThreadPool> owned_pool_;  // null in the shared-pool form
-  ThreadPool* pool_;
-};
 
 }  // namespace pathenum
 

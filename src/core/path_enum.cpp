@@ -19,11 +19,8 @@ void NoteOracleDropped() {
 
 }  // namespace internal
 
-namespace {
-
-/// Folds enumeration counters and phase timings into the query report.
-void Finalize(QueryStats& stats, const EnumCounters& counters,
-              double enumerate_ms, double total_ms) {
+void PathEnumerator::Finalize(QueryStats& stats, const EnumCounters& counters,
+                              double enumerate_ms, double total_ms) {
   stats.counters = counters;
   stats.enumerate_ms = enumerate_ms;
   stats.total_ms = total_ms;
@@ -34,8 +31,6 @@ void Finalize(QueryStats& stats, const EnumCounters& counters,
                           ? preprocessing + counters.response_ms
                           : total_ms;
 }
-
-}  // namespace
 
 bool PathEnumerator::OracleRejects(const Query& q) const {
   // Safe in one direction only: the oracle's unconstrained distance lower-
@@ -60,12 +55,9 @@ IndexBuilder::Options PathEnumerator::BuildOptionsFor(const Query& q,
   return build_opts;
 }
 
-namespace {
-
-/// Fills `stats` for a query whose index build was control-tripped: no
-/// enumeration ran, zero results, the matching terminal flag set.
-void FinalizeInterruptedBuild(QueryStats& stats,
-                              const LightweightIndex& index, Timer& total) {
+void PathEnumerator::FinalizeInterruptedBuild(QueryStats& stats,
+                                              const LightweightIndex& index,
+                                              const Timer& total) {
   EnumCounters counters;
   if (index.build_stats().interrupted_by_cancel) {
     counters.cancelled = true;
@@ -74,8 +66,6 @@ void FinalizeInterruptedBuild(QueryStats& stats,
   }
   Finalize(stats, counters, 0.0, total.ElapsedMs());
 }
-
-}  // namespace
 
 QueryStats PathEnumerator::Run(const Query& q, PathSink& sink,
                                const EnumOptions& opts) {

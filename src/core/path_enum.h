@@ -20,6 +20,7 @@
 #include "core/sink.h"
 #include "graph/view.h"
 #include "util/memory.h"
+#include "util/timer.h"
 
 namespace pathenum {
 
@@ -119,6 +120,17 @@ class PathEnumerator {
   static ExecutionPlan PlanExecution(const LightweightIndex& index,
                                      const EnumOptions& opts,
                                      QueryStats& stats);
+
+  /// Folds enumeration counters and phase timings into the query report
+  /// (the stats tail every serial and split run ends with).
+  static void Finalize(QueryStats& stats, const EnumCounters& counters,
+                       double enumerate_ms, double total_ms);
+
+  /// Fills `stats` for a query whose index build was control-tripped: no
+  /// enumeration ran, zero results, the matching terminal flag set.
+  static void FinalizeInterruptedBuild(QueryStats& stats,
+                                       const LightweightIndex& index,
+                                       const Timer& total);
 
   /// Runs the post-construction pipeline (estimate, optimize, enumerate) on
   /// an externally provided index for `index.query()`, skipping the build —

@@ -1,9 +1,8 @@
 // A fixed pool of persistent worker threads. Workers are spawned once and
 // parked on a condition variable between jobs, so issuing a batch costs a
-// wake-up instead of thread creation — the per-query thread spawn of the
-// original ParallelDfsEnumerator is exactly what this amortizes away.
-// Lives in core/ (not engine/) because every branch-parallel driver —
-// ParallelDfsEnumerator included — fans out through it (DESIGN.md §8).
+// wake-up instead of thread creation — a per-query thread spawn is exactly
+// what this amortizes away. Both engines (and so every split query) fan
+// out through it (DESIGN.md §5/§8).
 #ifndef PATHENUM_CORE_THREAD_POOL_H_
 #define PATHENUM_CORE_THREAD_POOL_H_
 

@@ -536,4 +536,35 @@ QueryStats ReplayCachedResult(const CachedResultSet& result, PathSink& sink,
   return stats;
 }
 
+BatchBuildTally BuildAndPublishBatch(IndexBuilder& builder,
+                                     const GraphView& view,
+                                     const std::vector<BatchBuildRequest>& reqs,
+                                     const IndexBuildOptions& opts,
+                                     uint64_t fp, IndexCache& cache,
+                                     std::vector<uint8_t>* published) {
+  BatchBuildTally tally;
+  if (published != nullptr) published->assign(reqs.size(), 0);
+  try {
+    std::vector<LightweightIndex> built = builder.BuildBatch(view, reqs, opts);
+    for (size_t i = 0; i < built.size(); ++i) {
+      if (built[i].build_stats().interrupted) continue;
+      const Query& q = built[i].query();
+      if (tally.builds++ == 0) {
+        // The shared count is batch-wide (identical on every member).
+        tally.edges_scanned = built[i].build_stats().batch_edges_scanned;
+      }
+      tally.solo_edges += built[i].build_stats().edges_scanned;
+      cache.GetOrBuild(
+          CacheKey{q.source, q.target, q.hops, fp},
+          [&built, i]() { return std::move(built[i]); },
+          /*was_hit=*/nullptr, view.version());
+      if (published != nullptr) (*published)[i] = 1;
+    }
+  } catch (...) {
+    // Members not yet published build solo on their workers, where
+    // per-query fault isolation applies.
+  }
+  return tally;
+}
+
 }  // namespace pathenum

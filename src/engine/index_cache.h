@@ -47,6 +47,7 @@
 #include "core/index.h"
 #include "core/options.h"
 #include "core/sink.h"
+#include "graph/view.h"
 #include "obs/metrics.h"
 
 namespace pathenum {
@@ -348,6 +349,26 @@ class RecordingSink : public PathSink {
 /// result_cache_hit set.
 QueryStats ReplayCachedResult(const CachedResultSet& result, PathSink& sink,
                               const EnumOptions& opts);
+
+/// What one fused build-and-publish pass produced (DESIGN.md §11).
+struct BatchBuildTally {
+  uint64_t builds = 0;         // members published from the fused sweep
+  uint64_t edges_scanned = 0;  // adjacency entries the shared sweep scanned
+  uint64_t solo_edges = 0;     // what the same builds would scan solo
+};
+
+/// The one batched-build publish path of both engines: one fused
+/// IndexBuilder::BuildBatch sweep over `view`, each finished member
+/// published through `cache`'s single-flight latch (fingerprint `fp`,
+/// version `view.version()`). Interrupted members are skipped — they build
+/// solo later. `published` (when non-null) flags the published members.
+/// Never throws: a failure ends the pass and the rest build solo.
+BatchBuildTally BuildAndPublishBatch(IndexBuilder& builder,
+                                     const GraphView& view,
+                                     const std::vector<BatchBuildRequest>& reqs,
+                                     const IndexBuildOptions& opts,
+                                     uint64_t fp, IndexCache& cache,
+                                     std::vector<uint8_t>* published);
 
 }  // namespace pathenum
 

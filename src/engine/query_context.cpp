@@ -28,7 +28,8 @@ QueryStats QueryContext::RunCached(const Query& q, PathSink& sink,
 
   // Cache interactions carry this context's snapshot version: a hit must be
   // valid for exactly the snapshot this query observes, and a build/record
-  // of a retired snapshot must not publish (DESIGN.md §7).
+  // of a retired snapshot must not publish (DESIGN.md §7) — AcquireIndex
+  // passes the same version.
   const uint64_t view_version = enumerator_.view().version();
   const bool result_cache_on = cache->options().max_result_bytes > 0;
   const CacheKey result_key{q.source, q.target, q.hops,
@@ -58,34 +59,27 @@ QueryStats QueryContext::RunCached(const Query& q, PathSink& sink,
     return stats;
   }
 
-  const IndexBuilder::Options build_opts =
-      PathEnumerator::BuildOptionsFor(q, opts);
-  const CacheKey index_key{q.source, q.target, q.hops,
-                           IndexOptionsFingerprint(build_opts)};
-  bool index_hit = false;
-  const std::shared_ptr<const LightweightIndex> index = cache->GetOrBuild(
-      index_key, [&] { return enumerator_.BuildIndex(q, build_opts); },
-      &index_hit, view_version);
+  QueryStats acquired;
+  const std::shared_ptr<const LightweightIndex> index = AcquireIndex(
+      q, PathEnumerator::BuildOptionsFor(q, opts), cache, acquired);
   if (span != nullptr) {
-    span->SetIndexOutcome(index_hit, false, index->build_stats().batched);
+    span->SetIndexOutcome(acquired.index_cache_hit, false,
+                          index->build_stats().batched);
     span->Mark(obs::SpanStage::kIndexAcquire);
   }
 
   if (index->build_stats().interrupted) {
     // This query's own deadline/cancel tripped mid-build (an interrupted
     // build is never published or handed to waiters, so it is always ours).
-    QueryStats stats;
     if (index->build_stats().interrupted_by_cancel) {
-      stats.counters.cancelled = true;
+      acquired.counters.cancelled = true;
     } else {
-      stats.counters.timed_out = true;
+      acquired.counters.timed_out = true;
     }
-    stats.bfs_ms = index->build_stats().bfs_ms;
-    stats.index_ms = index->build_stats().total_ms;
-    stats.total_ms = stats.index_ms;
-    stats.response_ms = stats.total_ms;
+    acquired.total_ms = acquired.index_ms;
+    acquired.response_ms = acquired.total_ms;
     ++queries_run_;
-    return stats;
+    return acquired;
   }
 
   QueryStats stats;
@@ -101,14 +95,13 @@ QueryStats QueryContext::RunCached(const Query& q, PathSink& sink,
     stats = enumerator_.RunWithIndex(*index, sink, opts);
   }
   if (span != nullptr) span->Mark(obs::SpanStage::kEnumerate);
-  stats.index_cache_hit = index_hit;
-  if (!index_hit) {
-    // This context paid for the build inside GetOrBuild; charge it.
-    stats.bfs_ms = index->build_stats().bfs_ms;
-    stats.index_ms = index->build_stats().total_ms;
-    stats.total_ms += stats.index_ms;
-    stats.response_ms += stats.index_ms;
-  }
+  // A miss means this context paid for the build; charge it (zero on a
+  // hit).
+  stats.index_cache_hit = acquired.index_cache_hit;
+  stats.bfs_ms = acquired.bfs_ms;
+  stats.index_ms = acquired.index_ms;
+  stats.total_ms += stats.index_ms;
+  stats.response_ms += stats.index_ms;
   ++queries_run_;
   return stats;
 }

@@ -8,12 +8,28 @@
 #define PATHENUM_ENGINE_QUERY_CONTEXT_H_
 
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "core/path_enum.h"
 #include "engine/index_cache.h"
 #include "obs/span.h"
 
 namespace pathenum {
+
+/// Grow-only merge scratch of a split IDX-JOIN (DESIGN.md §8). It lives in
+/// the context of the query's leader, not in the engine, because several
+/// async split tickets can run at once; reuse across the leader's queries
+/// keeps the §5 no-steady-state-allocation discipline.
+struct SplitJoinScratch {
+  std::vector<uint32_t> starts;              // the cut level set C_cut
+  std::vector<uint32_t> left;                // left-half tuples
+  std::vector<std::vector<uint32_t>> right;  // right tuples, one per slot
+  std::vector<std::pair<size_t, size_t>> ranges;  // per start, into right
+  std::vector<uint32_t> range_slot;               // per start
+  std::vector<uint8_t> is_key;
+  std::vector<JoinGroup> groups;
+};
 
 /// One worker's reusable execution state. Not thread-safe: a context is
 /// owned by exactly one worker at a time.
@@ -74,6 +90,7 @@ class QueryContext {
   /// the worker that claimed it. Single-owner like everything else here.
   DfsEnumerator& split_dfs() { return enumerator_.dfs_; }
   JoinEnumerator& split_join() { return enumerator_.join_; }
+  SplitJoinScratch& split_join_scratch() { return split_join_scratch_; }
 
   PathEnumerator& enumerator() { return enumerator_; }
 
@@ -86,6 +103,7 @@ class QueryContext {
 
  private:
   PathEnumerator enumerator_;
+  SplitJoinScratch split_join_scratch_;
   uint64_t queries_run_ = 0;
 };
 

@@ -5,8 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/parallel_dfs.h"
 #include "util/fault_injection.h"
+#include "util/timer.h"
 
 namespace pathenum {
 
@@ -129,33 +129,30 @@ QueryTicket AsyncEngine::TrySubmit(const Query& q, PathSink& sink,
   return TrySubmit(q, sink, SubmitOptions{.query = opts});
 }
 
-namespace {
-
-/// Wires a ticket's cancel token into its submission: the caller's token is
-/// shared when one was provided (ticket.Cancel() fires it), otherwise the
-/// ticket gets a private token the enumeration observes through opts.
-void WireCancel(CancelToken& ticket_cancel, EnumOptions& opts) {
-  if (opts.cancel.can_cancel()) {
-    ticket_cancel = opts.cancel;
-  } else {
-    ticket_cancel = CancelToken::Cancellable();
-    opts.cancel = ticket_cancel;
-  }
-}
-
-}  // namespace
-
-QueryTicket AsyncEngine::Submit(const Query& q, PathSink& sink,
-                                const SubmitOptions& opts) {
-  auto state = std::make_shared<QueryTicket::State>();
+AsyncEngine::Submission AsyncEngine::NewSubmission(const Query& q,
+                                                   PathSink& sink,
+                                                   const SubmitOptions& opts) {
   Submission task;
   task.query = q;
   task.sink = &sink;
   task.opts = opts.query;
   task.split = opts.split_branches;
-  task.state = state;
-  WireCancel(state->cancel, task.opts);
+  task.state = std::make_shared<QueryTicket::State>();
+  // The caller's cancel token is shared when one was provided
+  // (ticket.Cancel() fires it); otherwise the ticket gets a private token
+  // the enumeration observes through opts.
+  if (!task.opts.cancel.can_cancel()) {
+    task.opts.cancel = CancelToken::Cancellable();
+  }
+  task.state->cancel = task.opts.cancel;
   task.span.Begin(q.source, q.target, q.hops);
+  return task;
+}
+
+QueryTicket AsyncEngine::Submit(const Query& q, PathSink& sink,
+                                const SubmitOptions& opts) {
+  Submission task = NewSubmission(q, sink, opts);
+  std::shared_ptr<QueryTicket::State> state = task.state;
   bool unsat = false;
   {
     std::unique_lock<std::mutex> lock(queue_mutex_);
@@ -198,15 +195,8 @@ QueryTicket AsyncEngine::Submit(const Query& q, PathSink& sink,
 QueryTicket AsyncEngine::TrySubmit(const Query& q, PathSink& sink,
                                    const SubmitOptions& opts,
                                    double* retry_after_ms) {
-  auto state = std::make_shared<QueryTicket::State>();
-  Submission task;
-  task.query = q;
-  task.sink = &sink;
-  task.opts = opts.query;
-  task.split = opts.split_branches;
-  task.state = state;
-  WireCancel(state->cancel, task.opts);
-  task.span.Begin(q.source, q.target, q.hops);
+  Submission task = NewSubmission(q, sink, opts);
+  std::shared_ptr<QueryTicket::State> state = task.state;
   bool unsat = false;
   {
     const std::lock_guard<std::mutex> lock(queue_mutex_);
@@ -353,19 +343,24 @@ void AsyncEngine::WorkerLoop(uint32_t worker) {
   QueryContext& ctx = *contexts_[worker];
   for (;;) {
     Submission task;
-    std::shared_ptr<SplitJob> help;
+    OpenPhase* help = nullptr;
     {
       std::unique_lock<std::mutex> lock(queue_mutex_);
       queue_not_empty_.wait(lock, [&] {
-        return shutdown_ || !queue_.empty() || HasSplitWorkLocked();
+        return shutdown_ || !queue_.empty() ||
+               FindSplitWorkLocked() != nullptr;
       });
       if (!queue_.empty()) {
         task = std::move(queue_.front());
         queue_.pop_front();
         ++in_flight_;
-      } else if ((help = ClaimSplitWorkLocked()) != nullptr) {
-        // Idle with queued split units: help the heavy ticket instead of
+      } else if ((help = FindSplitWorkLocked()) != nullptr) {
+        // Idle with open split units: help the heavy ticket instead of
         // parking. New submissions take priority again on the next loop.
+        // Registered under queue_mutex_, so the leader retiring the phase
+        // cannot miss this helper: retirement happens under the same lock,
+        // and the leader's wait counts active_helpers afterwards.
+        ++help->active_helpers;
       } else if (shutdown_) {
         break;  // shutdown with a drained queue and no split work
       } else {
@@ -376,17 +371,15 @@ void AsyncEngine::WorkerLoop(uint32_t worker) {
       }
     }
     if (help != nullptr) {
-      DrainSplitUnits(*help, ctx);
-      {
-        const std::lock_guard<std::mutex> lock(help->mutex);
-        --help->active_helpers;
-      }
-      help->helpers_done.notify_all();
+      help->phase->drain(ctx, worker);
+      const std::lock_guard<std::mutex> lock(queue_mutex_);
+      --help->active_helpers;
+      split_helpers_done_.notify_all();
       continue;
     }
     queue_not_full_.notify_one();
     Timer exec_timer;
-    Execute(ctx, task);
+    Execute(ctx, worker, task);
     const double exec_ms = exec_timer.ElapsedMs();
     {
       const std::lock_guard<std::mutex> lock(queue_mutex_);
@@ -400,51 +393,33 @@ void AsyncEngine::WorkerLoop(uint32_t worker) {
   }
 }
 
-bool AsyncEngine::HasSplitWorkLocked() const {
-  for (const auto& job : split_jobs_) {
-    if (!job->stop_claims.load(std::memory_order_relaxed) &&
-        job->cursor.load(std::memory_order_relaxed) < job->branches.size()) {
-      return true;
-    }
-  }
-  return false;
+AsyncEngine::OpenPhase* AsyncEngine::FindSplitWorkLocked() const {
+  const auto it = std::find_if(
+      split_phases_.begin(), split_phases_.end(),
+      [](const OpenPhase* open) { return open->phase->HasWork(); });
+  return it != split_phases_.end() ? *it : nullptr;
 }
 
-std::shared_ptr<AsyncEngine::SplitJob> AsyncEngine::ClaimSplitWorkLocked() {
-  for (const auto& job : split_jobs_) {
-    if (!job->stop_claims.load(std::memory_order_relaxed) &&
-        job->cursor.load(std::memory_order_relaxed) < job->branches.size()) {
-      // Registered under queue_mutex_, so the leader retiring the job
-      // cannot miss this helper: retirement happens under the same lock,
-      // and the leader's wait counts active_helpers afterwards.
-      const std::lock_guard<std::mutex> lock(job->mutex);
-      ++job->active_helpers;
-      return job;
-    }
+void AsyncEngine::RunHelpedPhase(SplitPhase& phase, QueryContext& ctx,
+                                 uint32_t worker) {
+  // Publish, then wake parked workers: any worker idle between queue pops
+  // joins the phase until its units run dry.
+  OpenPhase open{&phase};
+  {
+    const std::lock_guard<std::mutex> lock(queue_mutex_);
+    split_phases_.push_back(&open);
   }
-  return nullptr;
-}
+  queue_not_empty_.notify_all();
 
-void AsyncEngine::DrainSplitUnits(SplitJob& job, QueryContext& ctx) {
-  // Never lets an exception escape: a helper throwing would kill its pool
-  // worker for the engine's lifetime and strand the leader's barrier.
-  EnumCounters mine;
-  try {
-    mine = internal::DrainBranches(ctx.split_dfs(), *job.index, job.branches,
-                                   job.cursor, job.sink, job.opts,
-                                   job.deadline, &job.stop_claims);
-  } catch (const std::exception& e) {
-    // A failing participant (a throwing sink, typically) fails the whole
-    // ticket: stop the claiming loops and trip the per-ticket stop latch
-    // so no other participant delivers into the broken sink.
-    job.stop_claims.store(true, std::memory_order_relaxed);
-    job.gate.Stop();
-    const std::lock_guard<std::mutex> lock(job.mutex);
-    if (job.error.empty()) job.error = e.what();
-    return;
-  }
-  const std::lock_guard<std::mutex> lock(job.mutex);
-  job.worker_counters.push_back(mine);
+  // The leader is a participant too, under its own worker slot.
+  phase.drain(ctx, worker);
+
+  // Retire the phase so no further helper registers, then wait out the
+  // ones already inside — the phase's barrier.
+  std::unique_lock<std::mutex> lock(queue_mutex_);
+  split_phases_.erase(
+      std::find(split_phases_.begin(), split_phases_.end(), &open));
+  split_helpers_done_.wait(lock, [&] { return open.active_helpers == 0; });
 }
 
 void AsyncEngine::MaybeBatchPrebuild(Submission& task) {
@@ -502,40 +477,21 @@ void AsyncEngine::MaybeBatchPrebuild(Submission& task) {
   }
   if (reqs.size() < opts_.batch_build_min) return;
 
-  try {
-    // Controls are strictly per-member (each ticket's own cancel token and
-    // deadline); the shared options carry only the build shape.
-    IndexBuilder::Options shared = lead_opts;
-    shared.cancel = nullptr;
-    shared.deadline = Deadline::Unlimited();
-    std::vector<LightweightIndex> built =
-        batch_builder_.BuildBatch(*task.snapshot, reqs, shared);
-    bool counted_shared = false;
-    for (size_t i = 0; i < built.size(); ++i) {
-      // A tripped member builds solo at claim time (reporting its own
-      // terminal state); interrupted stubs are never published.
-      if (built[i].build_stats().interrupted) continue;
-      const Query& q = built[i].query();
-      batched_builds_.Inc();
-      batched_solo_edges_.Inc(built[i].build_stats().edges_scanned);
-      if (!counted_shared) {
-        batched_edges_scanned_.Inc(built[i].build_stats().batch_edges_scanned);
-        counted_shared = true;
-      }
-      const CacheKey key{q.source, q.target, q.hops, fp};
-      // Single-flight publish: concurrent waiters on any member key are
-      // satisfied by this slab; version/generation guards apply as usual.
-      cache_->GetOrBuild(
-          key, [&built, i]() { return std::move(built[i]); },
-          /*was_hit=*/nullptr, version);
-    }
-  } catch (...) {
-    // Any batch failure (including injected faults) falls back to solo
-    // builds, where per-query fault isolation applies.
-  }
+  // Controls are strictly per-member (each ticket's own cancel token and
+  // deadline); the shared options carry only the build shape.
+  IndexBuilder::Options shared = lead_opts;
+  shared.cancel = nullptr;
+  shared.deadline = Deadline::Unlimited();
+  const BatchBuildTally tally = BuildAndPublishBatch(
+      batch_builder_, *task.snapshot, reqs, shared, fp, *cache_,
+      /*published=*/nullptr);
+  batched_builds_.Inc(tally.builds);
+  batched_edges_scanned_.Inc(tally.edges_scanned);
+  batched_solo_edges_.Inc(tally.solo_edges);
 }
 
-void AsyncEngine::Execute(QueryContext& ctx, Submission& task) {
+void AsyncEngine::Execute(QueryContext& ctx, uint32_t worker,
+                          Submission& task) {
   fault::Hit(fault::Site::kAsyncClaim);
   // The worker's claim ends the queue-wait stage on every path below.
   task.span.Mark(obs::SpanStage::kQueueWait);
@@ -549,128 +505,25 @@ void AsyncEngine::Execute(QueryContext& ctx, Submission& task) {
     Complete(*task.state, stats, "", QueryState::kCancelled, &task.span);
     return;
   }
-  if (task.split) {
-    ExecuteSplit(ctx, task);
-    return;
-  }
   MaybeBatchPrebuild(task);
   try {
     // The context runs on exactly the submission's snapshot; the rebind is
     // a view copy (scratch survives), free when the snapshot is unchanged.
     ctx.Rebind(*task.snapshot);
-    const QueryStats stats = ctx.RunCached(task.query, *task.sink, task.opts,
-                                           cache_.get(), &task.span);
-    Complete(*task.state, stats, "", stats.counters.TerminalState(),
-             &task.span);
-  } catch (const std::logic_error& e) {
-    Complete(*task.state, QueryStats{}, e.what(), QueryState::kRejected,
-             &task.span);
-  } catch (const std::exception& e) {
-    Complete(*task.state, QueryStats{}, e.what(), QueryState::kError,
-             &task.span);
-  }
-}
-
-void AsyncEngine::ExecuteSplit(QueryContext& ctx, Submission& task) {
-  task.span.SetSplit();
-  try {
-    ctx.Rebind(*task.snapshot);
-    ValidateQuery(*task.snapshot, task.query);
     QueryStats stats;
-    stats.method = Method::kDfs;  // async splitting fans out DFS branches
-    Timer total;
-
-    // The index is built once on the submission's snapshot (through the
-    // shared cache when possible) and is immutable from here on — every
-    // branch unit, whichever worker runs it and however many updates
-    // publish meanwhile, observes exactly this snapshot.
-    EnumOptions build_shape = task.opts;
-    build_shape.method = Method::kDfs;
-    const std::shared_ptr<const LightweightIndex> index = ctx.AcquireIndex(
-        task.query, PathEnumerator::BuildOptionsFor(task.query, build_shape),
-        cache_.get(), stats);
-    task.span.SetIndexOutcome(stats.index_cache_hit, false,
-                              index->build_stats().batched);
-    task.span.Mark(obs::SpanStage::kIndexAcquire);
-
-    if (index->build_stats().interrupted) {
-      // The ticket's deadline/cancel tripped the build: no fan-out, zero
-      // paths, the matching terminal state.
-      if (index->build_stats().interrupted_by_cancel) {
-        stats.counters.cancelled = true;
-      } else {
-        stats.counters.timed_out = true;
-      }
-      stats.total_ms = total.ElapsedMs();
-      stats.response_ms = stats.total_ms;
-      Complete(*task.state, stats, "", stats.counters.TerminalState(),
-               &task.span);
-      return;
+    if (task.split) {
+      // This worker leads; every phase is opened to idle workers, each
+      // helping under its own worker slot.
+      task.span.SetSplit();
+      const SplitScheduler scheduler{
+          pool_.num_workers(),
+          [&](SplitPhase& phase) { RunHelpedPhase(phase, ctx, worker); }};
+      stats = RunSplitQuery(ctx, task.query, *task.sink, task.opts,
+                            cache_.get(), scheduler, task.span);
+    } else {
+      stats = ctx.RunCached(task.query, *task.sink, task.opts, cache_.get(),
+                            &task.span);
     }
-
-    EnumCounters counters;
-    double enumerate_ms = 0.0;
-    const uint32_t s_slot = index->source_slot();
-    if (s_slot != kInvalidSlot) {
-      const auto branches =
-          index->OutSlotsWithin(s_slot, index->hops() - 1);
-      auto job = std::make_shared<SplitJob>(index, branches, *task.sink,
-                                            task.opts);
-      // Publish, then wake parked workers: any worker idle between queue
-      // pops joins the fan-out until the units run dry.
-      {
-        const std::lock_guard<std::mutex> lock(queue_mutex_);
-        split_jobs_.push_back(job);
-      }
-      queue_not_empty_.notify_all();
-
-      // The leader is participant zero.
-      DrainSplitUnits(*job, ctx);
-
-      // Retire the job so no further helper registers, then wait out the
-      // ones already inside — the merge barrier of this ticket.
-      {
-        const std::lock_guard<std::mutex> lock(queue_mutex_);
-        for (auto it = split_jobs_.begin(); it != split_jobs_.end(); ++it) {
-          if (it->get() == job.get()) {
-            split_jobs_.erase(it);
-            break;
-          }
-        }
-      }
-      std::string split_error;
-      {
-        std::unique_lock<std::mutex> lock(job->mutex);
-        job->helpers_done.wait(lock, [&] { return job->active_helpers == 0; });
-        // Every participant has left: enumeration is over, the fold below
-        // is this ticket's merge work.
-        task.span.Mark(obs::SpanStage::kEnumerate);
-        split_error = job->error;
-        internal::FinishFanout(counters, job->worker_counters,
-                               /*root_partials=*/1,
-                               /*root_edges=*/job->branches.size(),
-                               job->gate.delivered(), job->gate.response_ms(),
-                               task.opts);
-      }
-      task.span.Mark(obs::SpanStage::kMerge);
-      if (!split_error.empty()) {
-        // A participant failed: the job was retired and every helper has
-        // left (the barrier above), so the caller's sink is safe to
-        // abandon — fail the ticket like the plain path would.
-        Complete(*task.state, QueryStats{}, std::move(split_error),
-                 QueryState::kError, &task.span);
-        return;
-      }
-      enumerate_ms = job->timer.ElapsedMs();
-    }
-
-    stats.counters = counters;
-    stats.enumerate_ms = enumerate_ms;
-    stats.total_ms = total.ElapsedMs();
-    const double preprocessing = stats.total_ms - stats.enumerate_ms;
-    stats.response_ms = counters.response_ms >= 0.0
-                            ? preprocessing + counters.response_ms
-                            : stats.total_ms;
     Complete(*task.state, stats, "", stats.counters.TerminalState(),
              &task.span);
   } catch (const std::logic_error& e) {

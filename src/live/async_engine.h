@@ -42,6 +42,7 @@
 #include "core/sink.h"
 #include "engine/index_cache.h"
 #include "engine/query_context.h"
+#include "engine/split_executor.h"
 #include "core/thread_pool.h"
 #include "live/live_oracle.h"
 #include "live/snapshot.h"
@@ -97,14 +98,13 @@ struct SubmitOptions {
   /// Applied to the query's enumeration.
   EnumOptions query;
 
-  /// Heavy-ticket mode (DESIGN.md §8): the claiming worker builds the
-  /// index on the submission's snapshot, then fans the first-level DFS
-  /// branches out as units that *idle* workers cooperatively drain between
-  /// queue pops — one straggler query no longer serializes behind the
-  /// update stream, and every branch unit observes exactly the ticket's
-  /// snapshot (the units run on the immutable per-query index). Limit and
-  /// truncation semantics are identical to the serial path via the shared
-  /// BranchGate's per-ticket stop latch. Forces IDX-DFS.
+  /// Heavy-ticket mode (DESIGN.md §8): the claiming worker acquires the
+  /// index on the submission's snapshot and runs the planned IDX-DFS or
+  /// IDX-JOIN through the split executor, each phase's units cooperatively
+  /// drained by *idle* workers between queue pops — one straggler query no
+  /// longer serializes behind the update stream, and every unit observes
+  /// exactly the ticket's snapshot. Limit and truncation semantics are
+  /// identical to the serial path via the shared BranchGate.
   bool split_branches = false;
 };
 
@@ -278,48 +278,26 @@ class AsyncEngine {
     obs::QuerySpan span;
   };
 
-  /// One split ticket's shared fan-out state (DESIGN.md §8). The leader —
-  /// the worker that claimed the submission — owns the job's lifetime: it
-  /// publishes the job, drains units itself, retires the job from the
-  /// registry, and waits for the helpers that joined before merging. The
-  /// index shared_ptr keeps the enumeration's snapshot-consistent input
-  /// alive however long helpers run.
-  struct SplitJob {
-    SplitJob(std::shared_ptr<const LightweightIndex> idx,
-             std::span<const uint32_t> branch_units, PathSink& inner,
-             const EnumOptions& query_opts)
-        : index(std::move(idx)),
-          branches(branch_units),
-          opts(query_opts),
-          deadline(Deadline::AfterMs(query_opts.time_limit_ms)),
-          gate(query_opts.result_limit, query_opts.response_target, timer),
-          sink(gate, inner, BranchSink::Mode::kSerialized) {}
-
-    std::shared_ptr<const LightweightIndex> index;
-    std::span<const uint32_t> branches;  // into *index, kept alive above
-    const EnumOptions opts;
-    Timer timer;  // enumeration stopwatch (feeds enumerate_ms)
-    /// One absolute deadline for the whole fan-out; every unit derives its
-    /// remaining budget from it (DrainBranches/BranchOptions).
-    const Deadline deadline;
-    BranchGate gate;
-    BranchSink sink;
-    std::atomic<uint32_t> cursor{0};
-    std::atomic<bool> stop_claims{false};
-
-    std::mutex mutex;  // guards the fields below
-    std::condition_variable helpers_done;
+  /// A split phase open to idle workers (DESIGN.md §8), guarded by
+  /// queue_mutex_. The leader — the worker that claimed the split ticket —
+  /// publishes it, drains it itself, retires it, and waits on
+  /// split_helpers_done_ until the helpers that joined have left.
+  struct OpenPhase {
+    SplitPhase* phase;
     uint32_t active_helpers = 0;
-    std::vector<EnumCounters> worker_counters;
-    /// First participant failure (a throwing sink, typically). Set with
-    /// stop_claims + gate.Stop() so the other participants wind down; the
-    /// leader turns it into the ticket's error after the merge barrier.
-    std::string error;
   };
 
+  /// A submission with its ticket state, cancel token and begun span.
+  static Submission NewSubmission(const Query& q, PathSink& sink,
+                                  const SubmitOptions& opts);
+
   void WorkerLoop(uint32_t worker);
-  void Execute(QueryContext& ctx, Submission& task);
-  void ExecuteSplit(QueryContext& ctx, Submission& task);
+  void Execute(QueryContext& ctx, uint32_t worker, Submission& task);
+
+  /// The async split scheduler: publishes `phase`, drains it as
+  /// participant `worker` on `ctx`, retires it and returns once every
+  /// helper has left — the phase's barrier.
+  void RunHelpedPhase(SplitPhase& phase, QueryContext& ctx, uint32_t worker);
 
   /// Opportunistic batched prebuild (DESIGN.md §11): when `task`'s index
   /// is a cache miss, drains co-pending same-snapshot same-fingerprint
@@ -332,15 +310,9 @@ class AsyncEngine {
   /// busy builder or any failure just falls back to solo builds.
   void MaybeBatchPrebuild(Submission& task);
 
-  /// True when some registered split job still has unclaimed units —
-  /// part of the worker wait predicate; queue_mutex_ must be held.
-  bool HasSplitWorkLocked() const;
-  /// Registers this worker as a helper on a job with remaining units, or
-  /// returns null; queue_mutex_ must be held.
-  std::shared_ptr<SplitJob> ClaimSplitWorkLocked();
-  /// Drains units of `job` on this worker's context and folds the
-  /// counters in (leader and helpers share this path).
-  static void DrainSplitUnits(SplitJob& job, QueryContext& ctx);
+  /// An open split phase with unclaimed units (idle workers help it), or
+  /// null; queue_mutex_ must be held.
+  OpenPhase* FindSplitWorkLocked() const;
 
   /// Finishes `span` with `query_state` (recording metrics / trace), copies
   /// its record into the ticket state, and signals the waiters.
@@ -376,9 +348,10 @@ class AsyncEngine {
   std::condition_variable queue_not_full_;
   std::condition_variable idle_;
   std::deque<Submission> queue_;
-  /// Split jobs idle workers may help with (guarded by queue_mutex_; the
-  /// jobs' own state is synchronized by their atomics/mutex).
-  std::deque<std::shared_ptr<SplitJob>> split_jobs_;
+  /// Split phases idle workers may help with (guarded by queue_mutex_;
+  /// the phases' own units are claimed through their atomics).
+  std::deque<OpenPhase*> split_phases_;
+  std::condition_variable split_helpers_done_;
   size_t in_flight_ = 0;
   bool shutdown_ = false;
   /// Lifecycle counters, registered as pathenum_async_* metrics. The first

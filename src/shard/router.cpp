@@ -60,7 +60,7 @@ struct ShardRouter::StitchState {
         dist_to_t(dist),
         shard_map(smap),
         gate(opts_in.result_limit, opts_in.response_target, enum_timer),
-        shared(gate, sink, BranchSink::Mode::kSerialized),
+        shared(gate, sink),
         deadline(Deadline::AfterMs(opts_in.time_limit_ms)),
         work(num_shards) {
     for (uint32_t s = 0; s < num_shards; ++s) {

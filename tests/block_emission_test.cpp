@@ -13,7 +13,6 @@
 #include "core/dfs_enumerator.h"
 #include "core/index.h"
 #include "core/join_enumerator.h"
-#include "core/parallel_dfs.h"
 #include "core/reference.h"
 #include "engine/query_engine.h"
 #include "graph/builder.h"
@@ -175,64 +174,54 @@ TEST(BlockEmissionTest, SinkStopFlagsMatchPerPath) {
 // --- delivered == limit at merge barriers ----------------------------------
 
 TEST(BlockEmissionTest, SplitEngineDeliversExactlyTheLimit) {
-  const Graph g = RandomGraph(60, 5, 11);
-  QueryEngine engine(g, {.num_workers = 4});
-  const Query q{0, 59, 5};
-  CountingSink probe;
-  BatchOptions probe_opts;
-  probe_opts.split_branches = true;
-  PathSink* probe_sink = &probe;
-  engine.RunBatch({&q, 1}, {&probe_sink, 1}, probe_opts);
-  const uint64_t total = probe.count();
-  ASSERT_GT(total, 8u) << "need enough paths to make the limit binding";
+  // Block delivery through the split engine: the complete run matches the
+  // serial path set (and, under IDX-DFS, its work counters — the shared
+  // root is charged once), and the gate pins a binding limit exactly.
+  struct Input {
+    Graph g;
+    Query q;
+    Method method;
+  };
+  const Input inputs[] = {{RandomGraph(60, 5, 11), {0, 59, 5}, Method::kAuto},
+                          {RandomGraph(50, 5, 23), {0, 49, 5}, Method::kDfs}};
+  for (const Input& in : inputs) {
+    const Query& q = in.q;
+    QueryEngine engine(in.g, {.num_workers = 4});
+    CollectingSink probe;
+    BatchOptions probe_opts;
+    probe_opts.split_branches = true;
+    probe_opts.query.method = in.method;
+    PathSink* probe_sink = &probe;
+    const BatchResult full =
+        engine.RunBatch({&q, 1}, {&probe_sink, 1}, probe_opts);
+    ASSERT_TRUE(full.ok());
+    CollectingSink seq_sink;
+    const QueryStats seq =
+        PathEnumerator(in.g).Run(q, seq_sink, probe_opts.query);
+    EXPECT_EQ(ToSet(probe.paths()), ToSet(seq_sink.paths()));
+    if (in.method == Method::kDfs) {
+      EXPECT_EQ(full.stats[0].counters.partials, seq.counters.partials);
+      EXPECT_EQ(full.stats[0].counters.edges_accessed,
+                seq.counters.edges_accessed);
+    }
+    const uint64_t total = probe.paths().size();
+    ASSERT_GT(total, 8u) << "need enough paths to make the limit binding";
 
-  for (const uint64_t limit : {total / 2, total - 1, total}) {
-    CountingSink sink;
-    PathSink* sink_ptr = &sink;
-    BatchOptions opts;
-    opts.split_branches = true;
-    opts.query.result_limit = limit;
-    const BatchResult r = engine.RunBatch({&q, 1}, {&sink_ptr, 1}, opts);
-    ASSERT_TRUE(r.ok());
-    // The gate pins delivery to the limit exactly — never limit + 1, even
-    // when a branch block crosses the limit right at the merge barrier.
-    EXPECT_EQ(sink.count(), limit);
-    EXPECT_EQ(r.stats[0].counters.num_results, limit);
-    EXPECT_TRUE(r.stats[0].counters.hit_result_limit);
-    EXPECT_FALSE(r.stats[0].counters.stopped_by_sink);
+    for (const uint64_t limit : {total / 2, total - 1, total}) {
+      CountingSink sink;
+      PathSink* sink_ptr = &sink;
+      BatchOptions opts = probe_opts;
+      opts.query.result_limit = limit;
+      const BatchResult r = engine.RunBatch({&q, 1}, {&sink_ptr, 1}, opts);
+      ASSERT_TRUE(r.ok());
+      // The gate pins delivery to the limit exactly — never limit + 1, even
+      // when a branch block crosses the limit right at the merge barrier.
+      EXPECT_EQ(sink.count(), limit);
+      EXPECT_EQ(r.stats[0].counters.num_results, limit);
+      EXPECT_TRUE(r.stats[0].counters.hit_result_limit);
+      EXPECT_FALSE(r.stats[0].counters.stopped_by_sink);
+    }
   }
-}
-
-TEST(BlockEmissionTest, ParallelDfsBlockDeliveryMatchesSequential) {
-  const Graph g = RandomGraph(50, 5, 23);
-  const Query q{0, 49, 5};
-  IndexBuilder builder;
-  const LightweightIndex idx = builder.Build(g, q);
-  DfsEnumerator seq;
-  CollectingSink seq_sink;
-  const EnumCounters seq_c = seq.Run(idx, seq_sink, {});
-
-  ParallelDfsEnumerator par(idx, 4);
-  std::vector<std::unique_ptr<CollectingSink>> workers;
-  std::mutex mu;
-  const ParallelEnumResult r = par.Run([&] {
-    auto sink = std::make_unique<CollectingSink>();
-    CollectingSink* raw = sink.get();
-    const std::lock_guard<std::mutex> lock(mu);
-    workers.emplace_back(std::move(sink));
-    return std::unique_ptr<PathSink>(
-        std::make_unique<CallbackSink>([raw](std::span<const VertexId> p) {
-          return raw->OnPath(p);
-        }));
-  });
-  PathSet merged;
-  for (const auto& w : workers) {
-    for (const auto& p : w->paths()) merged.insert(p);
-  }
-  EXPECT_EQ(merged, ToSet(seq_sink.paths()));
-  EXPECT_EQ(r.counters.num_results, seq_c.num_results);
-  EXPECT_EQ(r.counters.partials, seq_c.partials);
-  EXPECT_EQ(r.counters.edges_accessed, seq_c.edges_accessed);
 }
 
 // --- Throwing-sink recovery ------------------------------------------------
@@ -371,7 +360,7 @@ TEST(BranchSinkBlockTest, BlockReservationPinsDeliveredToLimit) {
   Timer timer;
   BranchGate gate(/*result_limit=*/5, /*response_target=*/3, timer);
   CountingSink inner;
-  BranchSink sink(gate, inner, BranchSink::Mode::kSerialized);
+  BranchSink sink(gate, inner);
   PathBlock block;
   for (uint32_t i = 0; i < 8; ++i) {
     const uint32_t path[] = {0, i + 1, 9};
@@ -393,7 +382,7 @@ TEST(BranchSinkBlockTest, SerializedLatchStopsBlockDelivery) {
   Timer timer;
   BranchGate gate(100, 0, timer);
   CollectingSink inner(3);
-  BranchSink sink(gate, inner, BranchSink::Mode::kSerialized);
+  BranchSink sink(gate, inner);
   PathBlock block;
   for (uint32_t i = 0; i < 8; ++i) {
     const uint32_t path[] = {0, i + 1, 9};

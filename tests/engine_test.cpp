@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "engine/query_engine.h"
 #include "core/thread_pool.h"
 #include "graph/generators.h"
+#include "live/async_engine.h"
 #include "live/live_oracle.h"
 #include "live/snapshot.h"
 #include "test_util.h"
@@ -143,55 +145,44 @@ TEST(QueryEngineTest, BatchMatchesSequentialPathSets) {
 }
 
 TEST(QueryEngineTest, SplitBranchesMatchesSequentialPathSets) {
-  const Graph g = ErdosRenyi(50, 500, 11);
-  const std::vector<Query> queries = {{0, 20, 5}, {3, 40, 4}, {7, 13, 6}};
-
-  PathEnumerator sequential(g);
-  QueryEngine engine(g, {.num_workers = 3});
-  std::vector<CollectingSink> collected(queries.size());
-  std::vector<PathSink*> sinks;
-  for (auto& c : collected) sinks.push_back(&c);
-  BatchOptions opts;
-  opts.split_branches = true;
-  const BatchResult result = engine.RunBatch(queries, sinks, opts);
-  ASSERT_TRUE(result.ok());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    CollectingSink expected;
-    sequential.Run(queries[i], expected);
-    EXPECT_EQ(ToSet(collected[i].paths()), ToSet(expected.paths()))
-        << "split query " << i;
-    EXPECT_EQ(result.stats[i].counters.num_results, expected.paths().size());
-  }
-}
-
-TEST(QueryEngineTest, SplitJoinMatchesSequentialPathSets) {
-  // Forced IDX-JOIN through split mode: the two halves materialize as
-  // independent units, meet at the merge barrier, and the parallel probe
-  // must produce exactly the serial join's path set.
-  const Graph g = ErdosRenyi(50, 500, 11);
-  const std::vector<Query> queries = {{0, 20, 5}, {3, 40, 4}, {7, 13, 6}};
-
-  PathEnumerator sequential(g);
-  for (const uint32_t workers : {1u, 3u}) {
-    QueryEngine engine(g, {.num_workers = workers});
+  // Inputs beyond the random graph: the paper's example, an index with no
+  // path at all (s cannot reach t), a direct (s, t) edge as a first-level
+  // branch, and a layered graph whose 125 paths cross the response target.
+  struct Input {
+    Graph g;
+    std::vector<Query> queries;
+  };
+  const Graph layered = LayeredGraph(3, 5);
+  const std::vector<Input> inputs = {
+      {ErdosRenyi(50, 500, 11), {{0, 20, 5}, {3, 40, 4}, {7, 13, 6}}},
+      {testing::PaperExampleGraph(), {testing::PaperExampleQuery()}},
+      {Graph::FromEdges(4, {{0, 1}, {2, 3}}), {{0, 3, 4}}},
+      {Graph::FromEdges(3, {{0, 2}, {0, 1}, {1, 2}}), {{0, 2, 2}}},
+      {layered, {{0, static_cast<VertexId>(layered.num_vertices() - 1), 4}}},
+  };
+  constexpr uint64_t kResponseTarget = 50;
+  for (size_t in = 0; in < inputs.size(); ++in) {
+    const std::vector<Query>& queries = inputs[in].queries;
+    PathEnumerator sequential(inputs[in].g);
+    QueryEngine engine(inputs[in].g, {.num_workers = 3});
     std::vector<CollectingSink> collected(queries.size());
     std::vector<PathSink*> sinks;
     for (auto& c : collected) sinks.push_back(&c);
     BatchOptions opts;
     opts.split_branches = true;
-    opts.query.method = Method::kJoin;
+    opts.query.response_target = kResponseTarget;
     const BatchResult result = engine.RunBatch(queries, sinks, opts);
     ASSERT_TRUE(result.ok());
     for (size_t i = 0; i < queries.size(); ++i) {
       CollectingSink expected;
-      EnumOptions seq_opts;
-      seq_opts.method = Method::kJoin;
-      sequential.Run(queries[i], expected, seq_opts);
+      sequential.Run(queries[i], expected);
       EXPECT_EQ(ToSet(collected[i].paths()), ToSet(expected.paths()))
-          << "split join query " << i << " at " << workers << " workers";
-      EXPECT_EQ(result.stats[i].counters.num_results,
-                expected.paths().size());
-      EXPECT_EQ(result.stats[i].method, Method::kJoin);
+          << "input " << in << " split query " << i;
+      const EnumCounters& c = result.stats[i].counters;
+      EXPECT_EQ(c.num_results, expected.paths().size());
+      if (c.num_results >= kResponseTarget) {
+        EXPECT_GE(c.response_ms, 0.0) << "input " << in << " query " << i;
+      }
     }
   }
 }
@@ -220,48 +211,157 @@ TEST(QueryEngineTest, SplitModePlansLikeTheSerialPipeline) {
   }
 }
 
-TEST(QueryEngineTest, SplitModeExactLimitNeverDeliversLimitPlusOne) {
+// ---------------------------------------------------------------------------
+// One split executor under both schedulers
+// ---------------------------------------------------------------------------
+
+/// A split-query front end: QueryEngine (RunBatch with split_branches —
+/// every phase on the pool's active workers) or AsyncEngine (a ticket with
+/// split_branches — a leader plus cooperative idle helpers). Both run the
+/// same split executor, so every check below must hold for both. An
+/// index cache either way.
+class SplitFront {
+ public:
+  SplitFront(bool async, const Graph& g, uint32_t workers = 4) {
+    if (async) {
+      async_ = std::make_unique<AsyncEngine>(
+          g, AsyncEngineOptions{.num_workers = workers});
+    } else {
+      sync_ = std::make_unique<QueryEngine>(
+          g, EngineOptions{.num_workers = workers, .enable_cache = true});
+    }
+  }
+
+  struct Outcome {
+    QueryStats stats;
+    QueryState state = QueryState::kOk;
+  };
+
+  /// Runs `q` to completion (split unless `split` is false).
+  Outcome Run(const Query& q, PathSink& sink, const EnumOptions& opts,
+              bool split = true) {
+    if (async_ != nullptr) {
+      const QueryTicket t = async_->Submit(
+          q, sink, SubmitOptions{.query = opts, .split_branches = split});
+      const QueryStats stats = t.Wait();
+      EXPECT_TRUE(t.ok()) << t.error();
+      return {stats, t.state()};
+    }
+    PathSink* sinks[] = {&sink};
+    BatchOptions batch;
+    batch.query = opts;
+    batch.split_branches = split;
+    const BatchResult r =
+        sync_->RunBatch(std::span<const Query>{&q, 1}, sinks, batch);
+    EXPECT_TRUE(r.ok()) << r.errors[0];
+    return {r.stats[0], r.states[0]};
+  }
+
+ private:
+  std::unique_ptr<QueryEngine> sync_;
+  std::unique_ptr<AsyncEngine> async_;
+};
+
+/// Parameter: true runs through AsyncEngine, false through QueryEngine.
+class SplitSchedulerTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(SplitSchedulerTest, ExactLimitNeverDeliversLimitPlusOne) {
   // The merge-barrier double-count regression, end to end: with the result
   // limit exactly at / one under the full count, the caller's sink must
   // see exactly `limit` paths — never limit + 1 — for both the DFS branch
   // fan-out and the split join's barrier, and the truncation flags must
   // match the serial run's.
-  const Graph g = ErdosRenyi(50, 500, 11);
-  const Query q{0, 20, 5};
-  PathEnumerator sequential(g);
-  CountingSink full;
-  sequential.Run(q, full);
-  ASSERT_GT(full.count(), 3u);
-
-  for (const Method method : {Method::kDfs, Method::kJoin}) {
-    for (uint64_t limit : {full.count(), full.count() - 1, uint64_t{1}}) {
-      QueryEngine engine(g, {.num_workers = 4});
-      CountingSink sink;
-      PathSink* sinks[] = {&sink};
-      BatchOptions opts;
-      opts.split_branches = true;
-      opts.query.method = method;
-      opts.query.result_limit = limit;
-      const BatchResult result =
-          engine.RunBatch(std::span<const Query>{&q, 1}, sinks, opts);
-      ASSERT_TRUE(result.ok());
-      EXPECT_EQ(sink.count(), limit)
-          << MethodName(method) << " limit=" << limit;
-      EXPECT_EQ(result.stats[0].counters.num_results, limit);
-      CountingSink seq_sink;
-      EnumOptions seq_opts;
-      seq_opts.method = method;
-      seq_opts.result_limit = limit;
-      const QueryStats seq = sequential.Run(q, seq_sink, seq_opts);
-      EXPECT_EQ(result.stats[0].counters.hit_result_limit,
-                seq.counters.hit_result_limit)
-          << MethodName(method) << " limit=" << limit;
-      EXPECT_EQ(result.stats[0].counters.stopped_by_sink,
-                seq.counters.stopped_by_sink)
-          << MethodName(method) << " limit=" << limit;
+  const Graph layered = LayeredGraph(3, 5);  // 5 branches x 25 paths
+  const std::pair<Graph, Query> inputs[] = {
+      {ErdosRenyi(50, 500, 11), {0, 20, 5}},
+      {layered, {0, static_cast<VertexId>(layered.num_vertices() - 1), 4}},
+  };
+  for (const auto& [g, q] : inputs) {
+    PathEnumerator sequential(g);
+    CountingSink full;
+    sequential.Run(q, full);
+    ASSERT_GT(full.count(), 3u);
+    SplitFront front(GetParam(), g);
+    for (const Method method : {Method::kDfs, Method::kJoin}) {
+      for (uint64_t limit : {full.count(), full.count() - 1, uint64_t{1}}) {
+        EnumOptions opts;
+        opts.method = method;
+        opts.result_limit = limit;
+        CountingSink sink;
+        const SplitFront::Outcome split = front.Run(q, sink, opts);
+        EXPECT_EQ(sink.count(), limit)
+            << MethodName(method) << " limit=" << limit;
+        EXPECT_EQ(split.stats.counters.num_results, limit);
+        CountingSink seq_sink;
+        const QueryStats seq = sequential.Run(q, seq_sink, opts);
+        EXPECT_EQ(split.stats.counters.hit_result_limit,
+                  seq.counters.hit_result_limit)
+            << MethodName(method) << " limit=" << limit;
+        EXPECT_EQ(split.stats.counters.stopped_by_sink,
+                  seq.counters.stopped_by_sink)
+            << MethodName(method) << " limit=" << limit;
+        EXPECT_EQ(split.state, seq.counters.TerminalState());
+      }
     }
   }
 }
+
+TEST_P(SplitSchedulerTest, JoinPlansRunAsSplitJoin) {
+  // Forced IDX-JOIN, and a kAuto query the planner sends to IDX-JOIN: the
+  // two halves materialize as independent units, meet at the merge
+  // barrier, and the parallel probe delivers exactly the serial join's
+  // path set — also with a single worker (the leader alone).
+  const Graph g = ErdosRenyi(50, 500, 11);
+  PathEnumerator sequential(g);
+  EnumOptions join;
+  join.method = Method::kJoin;
+  for (const uint32_t workers : {1u, 3u}) {
+    SplitFront front(GetParam(), g, workers);
+    for (const Query& q :
+         {Query{0, 20, 5}, Query{3, 40, 4}, Query{7, 13, 6}}) {
+      CollectingSink split, expected;
+      const SplitFront::Outcome out = front.Run(q, split, join);
+      sequential.Run(q, expected, join);
+      EXPECT_EQ(ToSet(split.paths()), ToSet(expected.paths()))
+          << "query " << q.source << " at " << workers << " workers";
+      EXPECT_EQ(out.stats.counters.num_results, expected.paths().size());
+      EXPECT_EQ(out.stats.method, Method::kJoin);
+      EXPECT_EQ(out.state, QueryState::kOk);
+    }
+  }
+
+  const Graph dense = CompleteDigraph(11);
+  const Query q{0, 10, 6};
+  CollectingSink expected;
+  const QueryStats seq = PathEnumerator(dense).Run(q, expected);
+  ASSERT_EQ(seq.method, Method::kJoin) << "the planner must pick IDX-JOIN";
+  SplitFront dense_front(GetParam(), dense);
+  CollectingSink split;
+  const SplitFront::Outcome out = dense_front.Run(q, split, {});
+  EXPECT_EQ(out.stats.method, Method::kJoin);
+  EXPECT_EQ(out.stats.counters.num_results, expected.paths().size());
+  EXPECT_EQ(ToSet(split.paths()), ToSet(expected.paths()));
+}
+
+TEST_P(SplitSchedulerTest, SplitRunAfterPlainRunHitsTheIndexCache) {
+  // Split and plain runs build with one fingerprint, so a split run on the
+  // key (and snapshot) a plain run just built reuses that index.
+  const Graph g = ErdosRenyi(50, 500, 11);
+  SplitFront front(GetParam(), g);
+  const Query q{0, 20, 5};
+  CountingSink plain, split;
+  const SplitFront::Outcome first = front.Run(q, plain, {}, /*split=*/false);
+  EXPECT_FALSE(first.stats.index_cache_hit);
+  const SplitFront::Outcome second = front.Run(q, split, {});
+  EXPECT_TRUE(second.stats.index_cache_hit);
+  EXPECT_EQ(split.count(), plain.count());
+}
+
+INSTANTIATE_TEST_SUITE_P(Schedulers, SplitSchedulerTest,
+                         ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Async" : "Sync";
+                         });
 
 TEST(QueryEngineTest, CountBatchMatchesReference) {
   const Graph g = testing::PaperExampleGraph();

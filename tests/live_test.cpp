@@ -1065,13 +1065,16 @@ TEST(AsyncEngineTest, BoundedQueueRejectsTrySubmitWhenFull) {
 }
 
 TEST(AsyncEngineTest, SplitSubmitMatchesSerialAnswer) {
-  // A split ticket must deliver exactly the serial result set's count, with
-  // sink calls serialized (a plain CollectingSink is safe), across worker
-  // counts including the degenerate single-worker pool (leader-only).
+  // A split ticket must deliver exactly the serial result set and method,
+  // with sink calls serialized (a plain CollectingSink is safe), across
+  // worker counts including the degenerate single-worker pool
+  // (leader-only).
   const VertexId n = 40;
   const Graph base = ErdosRenyi(n, 260, /*seed=*/9);
   const Query heavy{0, n - 1, 5};
   const PathSet expected = Reference(base, heavy);
+  CountingSink serial;
+  const Method planned = PathEnumerator(base).Run(heavy, serial).method;
   for (const uint32_t workers : {1u, 3u}) {
     AsyncEngineOptions opts;
     opts.num_workers = workers;
@@ -1083,7 +1086,7 @@ TEST(AsyncEngineTest, SplitSubmitMatchesSerialAnswer) {
     ASSERT_TRUE(ticket.ok()) << ticket.error();
     EXPECT_EQ(ToSet(sink.paths()), expected) << workers << " workers";
     EXPECT_EQ(stats.counters.num_results, expected.size());
-    EXPECT_EQ(stats.method, Method::kDfs);
+    EXPECT_EQ(stats.method, planned) << "split plans like the serial path";
   }
 }
 

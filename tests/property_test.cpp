@@ -5,16 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
-#include <mutex>
 #include <span>
+#include <vector>
 
 #include "baselines/algorithm.h"
 #include "core/dfs_enumerator.h"
 #include "core/estimator.h"
 #include "core/index.h"
 #include "core/join_enumerator.h"
-#include "core/parallel_dfs.h"
 #include "core/path_enum.h"
 #include "core/reference.h"
 #include "engine/query_engine.h"
@@ -221,85 +219,57 @@ TEST(SplitDifferentialTest, TruncationFlagsAgreeAtTightLimits) {
   // At limits right at / under the full result count the split path must
   // report exactly the serial truncation outcome: delivered == limit (the
   // merge-barrier regression — never limit + 1), hit_result_limit and
-  // stopped_by_sink bit-identical.
+  // stopped_by_sink bit-identical. Inputs: Erdős–Rényi graphs under the
+  // planner's pick, and RMat graphs under forced IDX-DFS.
+  struct Input {
+    Graph g;
+    Query q;
+    Method method;
+  };
+  std::vector<Input> inputs;
   for (uint64_t seed = 1; seed <= 4; ++seed) {
-    const Graph g = ErdosRenyi(48, 430, seed * 7 + 1);
-    QueryEngine engine(g, {.num_workers = 4});
-    const Query q{static_cast<VertexId>(seed % 48),
-                  static_cast<VertexId>((seed * 19 + 3) % 48), 5};
+    inputs.push_back({ErdosRenyi(48, 430, seed * 7 + 1),
+                      {static_cast<VertexId>(seed % 48),
+                       static_cast<VertexId>((seed * 19 + 3) % 48), 5},
+                      Method::kAuto});
+    inputs.push_back({RMat(6, 300, seed * 29 + 5),
+                      {static_cast<VertexId>(seed % 64),
+                       static_cast<VertexId>((seed * 41 + 3) % 64), 5},
+                      Method::kDfs});
+  }
+  for (size_t in = 0; in < inputs.size(); ++in) {
+    const Query& q = inputs[in].q;
     if (q.source == q.target) continue;
+    QueryEngine engine(inputs[in].g, {.num_workers = 4});
+    EnumOptions base;
+    base.method = inputs[in].method;
     CollectingSink full;
-    RunOne(engine, q, false, {}, full);
+    RunOne(engine, q, false, base, full);
     const uint64_t count = full.paths().size();
     if (count < 2) continue;
     for (const uint64_t limit :
          {count, count - 1, (count + 1) / 2, uint64_t{1}}) {
-      EnumOptions opts;
+      EnumOptions opts = base;
       opts.result_limit = limit;
       CollectingSink serial, split;
       const QueryStats serial_stats = RunOne(engine, q, false, opts, serial);
       const QueryStats split_stats = RunOne(engine, q, true, opts, split);
       ASSERT_EQ(split.paths().size(), limit)
-          << "seed=" << seed << " limit=" << limit << " (never limit + 1)";
+          << "input=" << in << " limit=" << limit << " (never limit + 1)";
       EXPECT_EQ(split_stats.counters.num_results,
                 serial_stats.counters.num_results);
       EXPECT_EQ(split_stats.counters.hit_result_limit,
                 serial_stats.counters.hit_result_limit)
-          << "seed=" << seed << " limit=" << limit;
+          << "input=" << in << " limit=" << limit;
       EXPECT_EQ(split_stats.counters.stopped_by_sink,
                 serial_stats.counters.stopped_by_sink)
-          << "seed=" << seed << " limit=" << limit;
+          << "input=" << in << " limit=" << limit;
       // Whatever subset the nondeterministic interleaving delivered, it is
       // a subset of the true result set.
       const PathSet full_set = ToSet(full.paths());
       for (const auto& p : split.paths()) {
         EXPECT_TRUE(full_set.count(p) > 0);
       }
-    }
-  }
-}
-
-TEST(SplitDifferentialTest, ParallelDfsMatchesSequentialOnRandomGraphs) {
-  // Post-migration guarantee for the standalone parallel enumerator:
-  // identical path sets without limits, identical counts and truncation
-  // flags at tight limits.
-  for (uint64_t seed = 1; seed <= 4; ++seed) {
-    const Graph g = RMat(6, 300, seed * 29 + 5);
-    const Query q{static_cast<VertexId>(seed % 64),
-                  static_cast<VertexId>((seed * 41 + 3) % 64), 5};
-    if (q.source == q.target) continue;
-    IndexBuilder builder;
-    const LightweightIndex idx = builder.Build(g, q);
-    DfsEnumerator sequential(idx);
-    CollectingSink seq_sink;
-    const EnumCounters seq_full = sequential.Run(seq_sink, {});
-
-    ParallelDfsEnumerator parallel(idx, 4);
-    std::vector<std::vector<VertexId>> merged;
-    std::mutex mutex;
-    const ParallelEnumResult par_full = parallel.Run([&] {
-      return std::make_unique<CallbackSink>(
-          [&](std::span<const VertexId> p) {
-            const std::lock_guard<std::mutex> lock(mutex);
-            merged.emplace_back(p.begin(), p.end());
-            return true;
-          });
-    });
-    EXPECT_EQ(ToSet(merged), ToSet(seq_sink.paths())) << "seed=" << seed;
-    EXPECT_EQ(par_full.counters.num_results, seq_full.num_results);
-
-    const uint64_t count = seq_full.num_results;
-    if (count < 2) continue;
-    for (const uint64_t limit : {count, count - 1, uint64_t{1}}) {
-      EnumOptions opts;
-      opts.result_limit = limit;
-      CountingSink seq_ltd;
-      const EnumCounters seq = sequential.Run(seq_ltd, opts);
-      const ParallelEnumResult par = parallel.CountAll(opts);
-      EXPECT_EQ(par.counters.num_results, seq.num_results)
-          << "seed=" << seed << " limit=" << limit;
-      EXPECT_EQ(par.counters.hit_result_limit, seq.hit_result_limit);
-      EXPECT_EQ(par.counters.stopped_by_sink, seq.stopped_by_sink);
     }
   }
 }
